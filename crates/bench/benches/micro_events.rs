@@ -16,12 +16,19 @@
 //!   unbounded subscribers with queue drains *outside* the timed windows —
 //!   the apples-to-apples number tracked across commits (throughput plus
 //!   p50/p99 per-publish latency over 16-publish samples).
+//! * **Delay-emulation arm** (`remote_delayed_4`, also in the JSON): node 0
+//!   publishes to 4 remote subscribers under a constant 300 µs injected
+//!   delay, paced at 1 000 publishes/s on an open-loop schedule. It
+//!   reports how late parcels land (receive instant − (publish instant +
+//!   delay), p50/p99) and the network thread's CPU per parcel — the cost
+//!   and accuracy of the in-process network's wait.
 
 use std::time::{Duration, Instant};
 
 use criterion::{black_box, criterion_group, Criterion};
 use rtcm_bench::events::{
-    fanout_fixture, gateway_fixture, remote_fixture, EventsFixture, FANOUT_TOPIC, PAYLOAD,
+    delayed_fixture, fanout_fixture, gateway_fixture, remote_fixture, run_delayed, EventsFixture,
+    FANOUT_TOPIC, PAYLOAD,
 };
 
 fn bench_events(c: &mut Criterion) {
@@ -106,6 +113,26 @@ fn emit_json() {
     for remotes in [4u16, 16] {
         run(format!("publish_remote_{remotes}"), &remote_fixture(remotes));
     }
+    let publishes = if quick { 200 } else { 2000 };
+    let delayed = run_delayed(&delayed_fixture(4), publishes, Duration::from_millis(1));
+    let pct = |p: f64| delayed.late_us[((delayed.late_us.len() - 1) as f64 * p) as usize];
+    let net_cpu_us_per_parcel = delayed.net_cpu_ns as f64 / 1e3 / delayed.sent as f64;
+    println!(
+        "events/remote_delayed_4 {} of {} parcels  late p50 {:>6.1} us  p99 {:>6.1} us  \
+         net cpu {net_cpu_us_per_parcel:>6.2} us/parcel",
+        delayed.delivered,
+        delayed.sent,
+        pct(0.50),
+        pct(0.99)
+    );
+    rows.push(serde_json::json!({
+        "arm": "remote_delayed_4",
+        "parcels": delayed.sent,
+        "delivered": delayed.delivered,
+        "late_p50_us": pct(0.50),
+        "late_p99_us": pct(0.99),
+        "net_cpu_us_per_parcel": net_cpu_us_per_parcel,
+    }));
     let doc = serde_json::json!({
         "bench": "micro_events",
         "quick": quick,

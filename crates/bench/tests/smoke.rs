@@ -12,7 +12,10 @@
 use rtcm_bench::dispatch::{
     deadline_schedule, poll_dispatch, reactor_idle_wakeups, wheel_dispatch,
 };
-use rtcm_bench::events::{fanout_fixture, gateway_fixture, remote_fixture, FANOUT_TOPIC, PAYLOAD};
+use rtcm_bench::events::{
+    delayed_fixture, fanout_fixture, gateway_fixture, remote_fixture, run_delayed, FANOUT_TOPIC,
+    PAYLOAD,
+};
 use rtcm_bench::govern::{governor_policy, metrics_stream};
 use rtcm_bench::reconfig::{loaded_reconfig_controller, reconfig_fixture};
 use rtcm_bench::scaling::{
@@ -148,8 +151,9 @@ fn govern_fixture_evaluation_is_deterministic_and_rate_bounded() {
 /// Smoke coverage of the `micro_events` bench arms at the `RTCM_QUICK`
 /// sizes: every fixture topology round-trips a burst — each publish fans
 /// out to every subscriber exactly once, quiet gateways stay quiet, remote
-/// subscribers receive across the in-process network — and the federation
-/// counters reconcile with the observed deliveries.
+/// subscribers receive across the in-process network, delayed parcels all
+/// land and none early — and the federation counters reconcile with the
+/// observed deliveries.
 #[test]
 fn events_fixture_round_trips_at_quick_sizes() {
     const BURST: usize = 64;
@@ -189,6 +193,12 @@ fn events_fixture_round_trips_at_quick_sizes() {
     }
     assert_eq!(drained, BURST * 4, "every parcel delivered");
     assert_eq!(fx.federation.stats().remote_parcels, (BURST * 4) as u64);
+
+    // Delay emulation: a paced run delivers every parcel, none early.
+    let run = run_delayed(&delayed_fixture(4), BURST as u32, std::time::Duration::from_millis(1));
+    assert_eq!(run.sent, BURST * 4);
+    assert_eq!(run.delivered, run.sent, "every delayed parcel delivered");
+    assert!(run.late_us[0] >= 0.0, "a parcel arrived {} us early", -run.late_us[0]);
 }
 
 /// Smoke coverage of the `micro_reconfig` bench arms at the `RTCM_QUICK`

@@ -73,7 +73,7 @@ fn quick_env_drives_combo_experiment_end_to_end() {
     assert!(json.contains("mean_ratio"));
 }
 
-/// Smoke coverage of the `admission_scaling` bench arms at the
+/// Smoke coverage of `micro_admission`'s `admission_scaling/*` arms at the
 /// `RTCM_QUICK` sizes: the incremental and brute-force controllers built
 /// from the shared fixture must agree on every steady-state probe
 /// decision, keep their cached AUB sums consistent with fresh

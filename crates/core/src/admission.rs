@@ -68,7 +68,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::aub::{aub_delta, aub_term, bound_lhs, BOUND_EPSILON};
 use crate::balance::{Assignment, LoadBalancer};
-use crate::ledger::{ContributionKey, LedgerError, Lifetime, UtilizationLedger};
+use crate::ledger::{ContributionKey, Lifetime, UtilizationLedger};
 use crate::reconfig::{HandoverReport, ReconfigPlan, TransitionStep};
 use crate::strategy::{AcStrategy, InvalidConfigError, ServiceConfig};
 use crate::task::{JobId, ProcessorId, TaskId, TaskSet, TaskSpec};
@@ -291,17 +291,7 @@ impl HotEntry {
 /// aliasing with per-registration generation stamps (see
 /// [`CurrentEntry::gen`]): a heap entry only unregisters the slot if the
 /// generation still matches.
-pub(crate) type EntryId = usize;
-
-/// An extra predicate AND-ed into the system-wide schedulability check,
-/// evaluated against the controller *after* the candidate's tentative
-/// contributions are in the ledger and only once the controller's own
-/// check has passed. The sharded admission plane threads its cross-shard
-/// condition (foreign-shard summaries + cross-registered entries) through
-/// here so every guarded decision point — admission, reservation
-/// relocation, reseeding — applies it at exactly the same place the
-/// monolithic check runs.
-pub(crate) type ExtraCheck<'a> = &'a dyn Fn(&AdmissionController) -> bool;
+type EntryId = usize;
 
 /// A read-only view of one current entry's AUB bookkeeping, exposed for
 /// the design-time auditor (`rtcm_core::analysis::audit_controller`) and
@@ -317,33 +307,6 @@ pub struct EntryBound {
     /// Subtask contributions not yet idle-reset; entries at zero are
     /// excluded from the admission condition.
     pub outstanding: usize,
-}
-
-/// One record of [`AdmissionController::apply_remote_commits`]: a job a
-/// peer controller admitted, to be entered without a local test.
-#[derive(Debug, Clone, Copy)]
-pub struct RemoteCommit<'a> {
-    /// The admitted task.
-    pub task: &'a TaskSpec,
-    /// The job's sequence number.
-    pub seq: u64,
-    /// The job's arrival time (its deadline is `arrival + task.deadline()`).
-    pub arrival: Time,
-    /// The placement the peer admitted it under.
-    pub assignment: &'a Assignment,
-}
-
-/// What [`AdmissionController::reconcile_detailed`] corrected: the largest
-/// absolute drift found anywhere, attributed to a processor.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
-pub struct DriftReport {
-    /// Largest absolute correction applied to any ledger total or cached
-    /// AUB sum.
-    pub max_drift: f64,
-    /// The processor the largest correction is attributed to: the drifted
-    /// ledger total's own processor, or a drifted entry's first visit.
-    /// `None` when nothing was corrected.
-    pub worst_processor: Option<ProcessorId>,
 }
 
 /// The configurable admission-control component (with its co-located load
@@ -395,13 +358,6 @@ pub struct AdmissionController {
     /// Source of registry-entry generation stamps (see
     /// [`CurrentEntry::gen`]).
     next_entry_gen: u64,
-    /// Monotone state-revision counter, bumped at least once by every
-    /// mutation that can change a published shard summary (ledger epoch
-    /// settles, entry registration/unregistration). The sharded plane
-    /// stamps its published `(sum, violating, revision)` summaries with
-    /// this, so a summary whose revision still matches is provably
-    /// current.
-    revision: u64,
     last_expire: Time,
     stats: AcStats,
 }
@@ -448,7 +404,6 @@ impl AdmissionController {
             scratch_touched: Vec::new(),
             next_drain_seq: RESERVED_SEQ - 1,
             next_entry_gen: 1,
-            revision: 0,
             last_expire: Time::ZERO,
             stats: AcStats::default(),
         })
@@ -538,35 +493,11 @@ impl AdmissionController {
     /// deadline-bound contributions under a fresh sentinel job id (so the
     /// reserved key space is immediately free for a later reseed), keeping
     /// utilization per processor exactly unchanged.
-    pub(crate) fn drain_reservations(
-        &mut self,
-        now: Time,
-        tasks: &TaskSet,
-        report: &mut HandoverReport,
-    ) {
-        let mut drained: Vec<TaskId> = self.reserved.keys().copied().collect();
-        drained.sort_unstable();
-        for task_id in drained {
-            self.drain_reserved_task(task_id, now, tasks, report);
-        }
-    }
-
-    /// Drains a single task's reservation (the loop body of
-    /// [`AdmissionController::drain_reservations`]). Split out so the
-    /// sharded plane can interleave drains from several shards in one
-    /// global ascending task-id order, reproducing the monolithic
-    /// handover's per-processor operation sequence exactly. No-op if the
-    /// task holds no reservation here.
-    pub(crate) fn drain_reserved_task(
-        &mut self,
-        task_id: TaskId,
-        now: Time,
-        tasks: &TaskSet,
-        report: &mut HandoverReport,
-    ) {
-        let Some(eid) = self.reserved.remove(&task_id) else { return };
-        {
-            let Some(entry) = self.unregister_entry(eid) else { return };
+    fn drain_reservations(&mut self, now: Time, tasks: &TaskSet, report: &mut HandoverReport) {
+        let mut drained: Vec<(TaskId, EntryId)> = self.reserved.drain().collect();
+        drained.sort_by_key(|(task, _)| *task);
+        for (task_id, eid) in drained {
+            let Some(entry) = self.unregister_entry(eid) else { continue };
             let reserved_job = JobId::new(task_id, RESERVED_SEQ);
             let Some(task) = tasks.get(task_id) else {
                 // No deadline horizon known: withdraw the reservation.
@@ -576,7 +507,7 @@ impl AdmissionController {
                     }
                 });
                 report.reservations_withdrawn += 1;
-                return;
+                continue;
             };
             let deadline = now.saturating_add(task.deadline());
             self.next_drain_seq -= 1;
@@ -619,16 +550,6 @@ impl AdmissionController {
     /// the same guard. Candidates are processed in ascending task-id
     /// order for determinism.
     fn reseed_reservations(&mut self, tasks: &TaskSet, report: &mut HandoverReport) {
-        for (task_id, eid) in self.reseed_candidates(tasks) {
-            self.try_reseed_candidate(task_id, eid, tasks, None, report);
-        }
-    }
-
-    /// The reseed candidate list: the latest live entry per periodic task,
-    /// in ascending task-id order. Split out so the sharded plane can merge
-    /// candidate lists across shards and drive each attempt under its own
-    /// cross-shard guard.
-    pub(crate) fn reseed_candidates(&self, tasks: &TaskSet) -> Vec<(TaskId, EntryId)> {
         // Latest live entry per periodic task = the placement evidence. A
         // drained leftover from an earlier per-task phase (sentinel seq)
         // outranks real jobs: it carries the old reservation's placement.
@@ -646,96 +567,85 @@ impl AdmissionController {
         let mut candidates: Vec<(TaskId, EntryId)> =
             latest.into_iter().map(|(task, (_, eid))| (task, eid)).collect();
         candidates.sort_by_key(|(task, _)| *task);
-        candidates
-    }
 
-    /// One reseed attempt (see [`AdmissionController::reseed_reservations`]
-    /// for the semantics); `extra` joins the AUB guard at the same point an
-    /// admission would evaluate it.
-    pub(crate) fn try_reseed_candidate(
-        &mut self,
-        task_id: TaskId,
-        eid: EntryId,
-        tasks: &TaskSet,
-        extra: Option<ExtraCheck<'_>>,
-        report: &mut HandoverReport,
-    ) {
-        if self.reserved.contains_key(&task_id) {
-            return;
-        }
-        let entry = self.entry(eid);
-        let visits = entry.visits.clone();
-        let old_job = entry.job;
-        let task = tasks.get(task_id).expect("filtered on membership above");
-        let reserved_job = JobId::new(task_id, RESERVED_SEQ);
-        // Intact = convertible: nothing idle-reset yet *and* every
-        // ledger key actually present (a remote-commit collision can
-        // leave an entry with fewer keys than visits). The
-        // utilization-neutrality premise of the up-front AUB guard
-        // below rests on this, so it is checked, not assumed.
-        let intact = entry.outstanding == visits.len()
-            && visits.iter().enumerate().all(|(subtask, processor)| {
-                self.ledger
-                    .contribution(*processor, ContributionKey::new(old_job, subtask))
-                    .is_some()
-            });
-
-        if intact {
-            // The conversion is utilization-neutral, so the guard can
-            // run up front and no rollback path is needed. Its stale
-            // expiry-heap record is discarded by the generation check.
-            if !self.system_schedulable_with(&visits, extra) {
-                report.reseeds_skipped += 1;
-                return;
+        for (task_id, eid) in candidates {
+            if self.reserved.contains_key(&task_id) {
+                continue;
             }
-            self.unregister_entry(eid);
-            self.mutate_ledger(|ledger| {
-                for (subtask, processor) in visits.iter().enumerate() {
-                    let u = ledger
-                        .remove(*processor, ContributionKey::new(old_job, subtask))
-                        .expect("intact entries hold every contribution (checked above)");
-                    ledger
-                        .add(
-                            *processor,
-                            ContributionKey::new(reserved_job, subtask),
-                            u,
-                            Lifetime::Reserved,
-                        )
-                        .expect("the reserved key space was free");
-                }
-            });
-            let new_eid = self.register_entry(old_job, visits);
-            self.reserved.insert(task_id, new_eid);
-            report.reservations_reseeded += 1;
-            return;
-        }
+            let entry = self.entry(eid);
+            let visits = entry.visits.clone();
+            let old_job = entry.job;
+            let task = tasks.get(task_id).expect("filtered on membership above");
+            let reserved_job = JobId::new(task_id, RESERVED_SEQ);
+            // Intact = convertible: nothing idle-reset yet *and* every
+            // ledger key actually present (a remote-commit collision can
+            // leave an entry with fewer keys than visits). The
+            // utilization-neutrality premise of the up-front AUB guard
+            // below rests on this, so it is checked, not assumed.
+            let intact = entry.outstanding == visits.len()
+                && visits.iter().enumerate().all(|(subtask, processor)| {
+                    self.ledger
+                        .contribution(*processor, ContributionKey::new(old_job, subtask))
+                        .is_some()
+                });
 
-        // Additive fallback: the partial entry keeps its remaining
-        // contributions until its deadline; the reservation is added
-        // fresh, guarded by the post-addition system-wide check.
-        self.ledger.begin_touch_epoch();
-        for (subtask, processor) in visits.iter().enumerate() {
-            self.ledger
-                .add(
-                    *processor,
-                    ContributionKey::new(reserved_job, subtask),
-                    task.subtask_utilization(subtask),
-                    Lifetime::Reserved,
-                )
-                .expect("the reserved key space was free");
-        }
-        self.settle_epoch();
-        if self.system_schedulable_with(&visits, extra) {
-            let new_eid = self.register_entry(reserved_job, visits);
-            self.reserved.insert(task_id, new_eid);
-            report.reservations_reseeded += 1;
-        } else {
-            self.mutate_ledger(|ledger| {
-                for (subtask, processor) in visits.iter().enumerate() {
-                    ledger.remove(*processor, ContributionKey::new(reserved_job, subtask));
+            if intact {
+                // The conversion is utilization-neutral, so the guard can
+                // run up front and no rollback path is needed. Its stale
+                // expiry-heap record is discarded by the generation check.
+                if !self.system_schedulable_with(&visits) {
+                    report.reseeds_skipped += 1;
+                    continue;
                 }
-            });
-            report.reseeds_skipped += 1;
+                self.unregister_entry(eid);
+                self.mutate_ledger(|ledger| {
+                    for (subtask, processor) in visits.iter().enumerate() {
+                        let u = ledger
+                            .remove(*processor, ContributionKey::new(old_job, subtask))
+                            .expect("intact entries hold every contribution (checked above)");
+                        ledger
+                            .add(
+                                *processor,
+                                ContributionKey::new(reserved_job, subtask),
+                                u,
+                                Lifetime::Reserved,
+                            )
+                            .expect("the reserved key space was free");
+                    }
+                });
+                let new_eid = self.register_entry(old_job, visits);
+                self.reserved.insert(task_id, new_eid);
+                report.reservations_reseeded += 1;
+                continue;
+            }
+
+            // Additive fallback: the partial entry keeps its remaining
+            // contributions until its deadline; the reservation is added
+            // fresh, guarded by the post-addition system-wide check.
+            self.ledger.begin_touch_epoch();
+            for (subtask, processor) in visits.iter().enumerate() {
+                self.ledger
+                    .add(
+                        *processor,
+                        ContributionKey::new(reserved_job, subtask),
+                        task.subtask_utilization(subtask),
+                        Lifetime::Reserved,
+                    )
+                    .expect("the reserved key space was free");
+            }
+            self.settle_epoch();
+            if self.system_schedulable_with(&visits) {
+                let new_eid = self.register_entry(reserved_job, visits);
+                self.reserved.insert(task_id, new_eid);
+                report.reservations_reseeded += 1;
+            } else {
+                self.mutate_ledger(|ledger| {
+                    for (subtask, processor) in visits.iter().enumerate() {
+                        ledger.remove(*processor, ContributionKey::new(reserved_job, subtask));
+                    }
+                });
+                report.reseeds_skipped += 1;
+            }
         }
     }
 
@@ -778,31 +688,17 @@ impl AdmissionController {
         seq: u64,
         now: Time,
     ) -> Result<Decision, AdmissionError> {
-        self.handle_arrival_ext(task, seq, now, None)
-    }
-
-    /// [`AdmissionController::handle_arrival`] with an [`ExtraCheck`]
-    /// AND-ed into every guarded decision point (admission, reservation
-    /// relocation) — the sharded plane's hook for its cross-shard
-    /// condition.
-    pub(crate) fn handle_arrival_ext(
-        &mut self,
-        task: &TaskSpec,
-        seq: u64,
-        now: Time,
-        extra: Option<ExtraCheck<'_>>,
-    ) -> Result<Decision, AdmissionError> {
         Self::check_seq(task.id(), seq)?;
         self.check_processors(task)?;
 
         if self.uses_reservation(task) {
             // Reservation path (pass-throughs, relocation): funnel-per-step.
             self.expire(now);
-            if let Some(decision) = self.try_pass_through(task, extra)? {
+            if let Some(decision) = self.try_pass_through(task)? {
                 return Ok(decision);
             }
             let assignment = self.balancer.assignment_for(task, &self.ledger);
-            return self.admit_with_checked(task, seq, now, assignment, extra);
+            return self.admit_with_checked(task, seq, now, assignment);
         }
 
         // Hot path (aperiodic and per-job arrivals): expiry and the
@@ -811,7 +707,7 @@ impl AdmissionController {
         self.ledger.begin_touch_epoch();
         self.expire_in_epoch(now);
         let assignment = self.balancer.assignment_for(task, &self.ledger);
-        self.admit_in_open_epoch(task, seq, now, assignment, extra)
+        self.admit_in_open_epoch(task, seq, now, assignment)
     }
 
     /// Like [`AdmissionController::handle_arrival`] but with a
@@ -830,30 +726,16 @@ impl AdmissionController {
         now: Time,
         assignment: Assignment,
     ) -> Result<Decision, AdmissionError> {
-        self.admit_with_ext(task, seq, now, assignment, None)
-    }
-
-    /// [`AdmissionController::admit_with`] with an [`ExtraCheck`] AND-ed
-    /// into every guarded decision point (see
-    /// [`AdmissionController::handle_arrival_ext`]).
-    pub(crate) fn admit_with_ext(
-        &mut self,
-        task: &TaskSpec,
-        seq: u64,
-        now: Time,
-        assignment: Assignment,
-        extra: Option<ExtraCheck<'_>>,
-    ) -> Result<Decision, AdmissionError> {
         Self::check_seq(task.id(), seq)?;
         self.expire(now);
         self.check_processors(task)?;
         if !assignment.is_valid_for(task) {
             return Err(AdmissionError::InvalidAssignment { task: task.id() });
         }
-        if let Some(decision) = self.try_pass_through(task, extra)? {
+        if let Some(decision) = self.try_pass_through(task)? {
             return Ok(decision);
         }
-        self.admit_with_checked(task, seq, now, assignment, extra)
+        self.admit_with_checked(task, seq, now, assignment)
     }
 
     /// Proposes a placement for `task` without running the admission test
@@ -912,70 +794,6 @@ impl AdmissionController {
         let eid = self.register_entry(job, assignment.as_slice().to_vec());
         self.entry_expiry.push(Reverse((deadline, eid, self.entry(eid).gen)));
         Ok(())
-    }
-
-    /// Bulk form of [`AdmissionController::apply_remote_commit`] for
-    /// seeding large current sets (simulation fixtures, peer-state
-    /// catch-up). The per-commit path delta-applies every mutation to the
-    /// inverted-index buckets of the touched processors, which makes
-    /// loading `n` commits O(n²) in bucket growth; this variant enters the
-    /// raw contributions first and rebuilds every cached AUB sum once at
-    /// the end ([`AdmissionController::reconcile`]), for O(total
-    /// contributions) overall.
-    ///
-    /// Per-commit semantics match the single-commit path: duplicates and
-    /// stale commits are skipped, ledger key collisions keep the first
-    /// contribution. Returns the number of commits actually entered.
-    ///
-    /// # Errors
-    ///
-    /// As [`AdmissionController::apply_remote_commit`]. Validation is
-    /// per-commit: commits before the offending one stay applied (the
-    /// rebuild still runs, leaving the controller consistent).
-    pub fn apply_remote_commits(
-        &mut self,
-        commits: &[RemoteCommit<'_>],
-    ) -> Result<usize, AdmissionError> {
-        let mut applied = 0usize;
-        let result = (|| {
-            for c in commits {
-                Self::check_seq(c.task.id(), c.seq)?;
-                self.check_processors(c.task)?;
-                if !c.assignment.is_valid_for(c.task) {
-                    return Err(AdmissionError::InvalidAssignment { task: c.task.id() });
-                }
-                let job = JobId::new(c.task.id(), c.seq);
-                if self.by_job.contains_key(&job) {
-                    continue; // idempotent: already known
-                }
-                let deadline = c.arrival.saturating_add(c.task.deadline());
-                if deadline <= self.ledger_now_floor() {
-                    continue; // stale commit: already past its deadline
-                }
-                for (subtask, processor) in c.assignment.iter() {
-                    let key = ContributionKey::new(job, subtask);
-                    // Collision: keep the first contribution, like the
-                    // per-commit path.
-                    let _ = self.ledger.add(
-                        processor,
-                        key,
-                        c.task.subtask_utilization(subtask),
-                        Lifetime::UntilDeadline(deadline),
-                    );
-                }
-                let eid = self.register_entry(job, c.assignment.as_slice().to_vec());
-                self.entry_expiry.push(Reverse((deadline, eid, self.entry(eid).gen)));
-                applied += 1;
-            }
-            Ok(())
-        })();
-        // One rebuild replaces the n per-commit delta settles: recompute
-        // ledger totals and refresh every cached sum (and the violating
-        // count with them). Runs on the error path too — the raw adds
-        // above bypassed the funnel, so the caches must be rebuilt before
-        // anyone reads them.
-        self.reconcile();
-        result.map(|()| applied)
     }
 
     /// The most recent expiry point processed; remote commits whose
@@ -1077,7 +895,7 @@ impl AdmissionController {
     /// the controller owns for reservations and drained-reservation ids —
     /// without this, a hostile seq near `u64::MAX` could collide with
     /// handover bookkeeping mid-reconfiguration.
-    pub(crate) fn check_seq(task: TaskId, seq: u64) -> Result<(), AdmissionError> {
+    fn check_seq(task: TaskId, seq: u64) -> Result<(), AdmissionError> {
         if seq >= SENTINEL_SEQ_FLOOR {
             return Err(AdmissionError::SentinelSequence { job: JobId::new(task, seq) });
         }
@@ -1105,11 +923,7 @@ impl AdmissionController {
 
     /// Pre-test short-circuits for per-task periodic tasks: pass-through on
     /// an existing reservation, immediate reject after an earlier failure.
-    fn try_pass_through(
-        &mut self,
-        task: &TaskSpec,
-        extra: Option<ExtraCheck<'_>>,
-    ) -> Result<Option<Decision>, AdmissionError> {
+    fn try_pass_through(&mut self, task: &TaskSpec) -> Result<Option<Decision>, AdmissionError> {
         if !self.uses_reservation(task) {
             return Ok(None);
         }
@@ -1124,7 +938,7 @@ impl AdmissionController {
             // the currently least-loaded replicas, keeping the old plan if
             // the move would break the bound for anyone.
             let assignment = if self.config.lb == crate::strategy::LbStrategy::PerJob {
-                self.relocate_reservation(task, eid, extra)
+                self.relocate_reservation(task, eid)
             } else {
                 Assignment::new(self.entry(eid).visits.clone())
             };
@@ -1135,12 +949,7 @@ impl AdmissionController {
 
     /// Moves a per-task reservation to a freshly balanced placement if that
     /// keeps the whole system schedulable; otherwise keeps the old plan.
-    fn relocate_reservation(
-        &mut self,
-        task: &TaskSpec,
-        eid: EntryId,
-        extra: Option<ExtraCheck<'_>>,
-    ) -> Assignment {
+    fn relocate_reservation(&mut self, task: &TaskSpec, eid: EntryId) -> Assignment {
         let old_visits = self.entry(eid).visits.clone();
         let reserved_job = JobId::new(task.id(), RESERVED_SEQ);
 
@@ -1173,7 +982,7 @@ impl AdmissionController {
         }
         self.refresh_entry(eid);
 
-        if self.system_schedulable_with(proposal.as_slice(), extra) {
+        if self.system_schedulable_with(proposal.as_slice()) {
             return proposal;
         }
 
@@ -1210,14 +1019,13 @@ impl AdmissionController {
         seq: u64,
         now: Time,
         assignment: Assignment,
-        extra: Option<ExtraCheck<'_>>,
     ) -> Result<Decision, AdmissionError> {
         let job = JobId::new(task.id(), seq);
         if self.by_job.contains_key(&job) {
             return Err(AdmissionError::DuplicateArrival { job });
         }
         self.ledger.begin_touch_epoch();
-        self.decide_in_open_epoch(task, job, now, assignment, extra)
+        self.decide_in_open_epoch(task, job, now, assignment)
     }
 
     /// The hot-path variant of [`AdmissionController::admit_with_checked`]:
@@ -1229,14 +1037,13 @@ impl AdmissionController {
         seq: u64,
         now: Time,
         assignment: Assignment,
-        extra: Option<ExtraCheck<'_>>,
     ) -> Result<Decision, AdmissionError> {
         let job = JobId::new(task.id(), seq);
         if self.by_job.contains_key(&job) {
             self.settle_epoch();
             return Err(AdmissionError::DuplicateArrival { job });
         }
-        self.decide_in_open_epoch(task, job, now, assignment, extra)
+        self.decide_in_open_epoch(task, job, now, assignment)
     }
 
     /// The admission decision proper, shared by both entry points above:
@@ -1251,7 +1058,6 @@ impl AdmissionController {
         job: JobId,
         now: Time,
         assignment: Assignment,
-        extra: Option<ExtraCheck<'_>>,
     ) -> Result<Decision, AdmissionError> {
         self.stats.tested += 1;
 
@@ -1284,7 +1090,7 @@ impl AdmissionController {
         }
         self.settle_epoch();
 
-        if self.system_schedulable_with(assignment.as_slice(), extra) {
+        if self.system_schedulable_with(assignment.as_slice()) {
             let eid = self.register_entry(job, assignment.as_slice().to_vec());
             if reserve {
                 self.reserved.insert(task.id(), eid);
@@ -1316,23 +1122,16 @@ impl AdmissionController {
     /// set is checked depends on the [`AdmissionMode`]: the incremental
     /// path reads the `violating` set maintained by delta application
     /// (entries not visiting a touched processor are provably unchanged),
-    /// the brute-force path rescans everything. An [`ExtraCheck`], when
-    /// supplied, is AND-ed in last (short-circuited, so it only runs when
-    /// the local condition already holds).
-    fn system_schedulable_with(
-        &self,
-        candidate_visits: &[ProcessorId],
-        extra: Option<ExtraCheck<'_>>,
-    ) -> bool {
+    /// the brute-force path rescans everything.
+    fn system_schedulable_with(&self, candidate_visits: &[ProcessorId]) -> bool {
         let candidate = bound_lhs(candidate_visits.iter().map(|p| self.ledger.utilization(*p)));
         if candidate > 1.0 + BOUND_EPSILON {
             return false;
         }
-        let local = match self.mode {
+        match self.mode {
             AdmissionMode::Incremental => self.violating_count == 0,
             AdmissionMode::BruteForce => self.system_schedulable_brute(),
-        };
-        local && extra.is_none_or(|check| check(self))
+        }
     }
 
     /// The original O(current set × visits) system-wide AUB check: every
@@ -1379,102 +1178,19 @@ impl AdmissionController {
     /// over long runs; periodic reconciliation bounds it without giving up
     /// the hot path's incrementality.
     pub fn reconcile(&mut self) -> f64 {
-        self.reconcile_detailed().max_drift
-    }
-
-    /// [`AdmissionController::reconcile`] with attribution: also names the
-    /// processor behind the largest correction (a drifted ledger total's
-    /// own processor, or a drifted cached sum's first visit), so the
-    /// sharded plane can report *which* shard is noisy instead of folding
-    /// everything into one global residual.
-    pub fn reconcile_detailed(&mut self) -> DriftReport {
-        // Cached sums may move: any published summary is now stale.
-        self.revision += 1;
-        let (mut max_drift, mut worst) = self.ledger.recompute_totals_detailed();
+        let mut max_drift = self.ledger.recompute_totals();
         for eid in 0..self.entries.len() {
-            let Some(entry) = self.entries[eid].as_ref() else { continue };
-            let anchor = entry.visits.first().copied();
+            if self.entries[eid].is_none() {
+                continue;
+            }
             let old = self.hot[eid].cached_lhs;
             self.refresh_entry(eid);
             let drift = (old - self.hot[eid].cached_lhs).abs();
-            if drift.is_finite() && drift > max_drift {
-                max_drift = drift;
-                worst = anchor.or(worst);
+            if drift.is_finite() {
+                max_drift = max_drift.max(drift);
             }
         }
-        DriftReport { max_drift, worst_processor: worst }
-    }
-
-    // --- Crate-internal surface for the sharded admission plane --------
-    //
-    // The shard layer (`crate::shard`) owns one full-width controller per
-    // processor group plus a cross-shard registry of entries spanning
-    // groups. Cross entries' *contributions* live in the shard ledgers
-    // (each processor's utilization has exactly one home), entered and
-    // removed through the two funnel-preserving primitives below; their
-    // AUB bookkeeping lives in the layer. Everything here goes through
-    // `mutate_ledger`, so shard-local cached sums and violating counts
-    // stay exact by the same construction as every native mutation.
-
-    /// Monotone state-revision counter (see the field doc).
-    pub(crate) fn revision(&self) -> u64 {
-        self.revision
-    }
-
-    /// Adds one externally-owned contribution through the funnel. The
-    /// entry it belongs to is *not* registered here — the caller owns its
-    /// AUB bookkeeping.
-    ///
-    /// # Errors
-    ///
-    /// As [`UtilizationLedger::add`].
-    pub(crate) fn external_add(
-        &mut self,
-        processor: ProcessorId,
-        key: ContributionKey,
-        utilization: f64,
-        lifetime: Lifetime,
-    ) -> Result<(), LedgerError> {
-        self.mutate_ledger(|ledger| ledger.add(processor, key, utilization, lifetime))
-    }
-
-    /// Removes one externally-owned contribution through the funnel,
-    /// returning the utilization freed (`None` if already gone).
-    pub(crate) fn external_remove(
-        &mut self,
-        processor: ProcessorId,
-        key: ContributionKey,
-    ) -> Option<f64> {
-        self.mutate_ledger(|ledger| ledger.remove(processor, key))
-    }
-
-    /// The tasks currently holding reservations, in arbitrary order — the
-    /// layer merges these across shards into one globally ordered drain.
-    pub(crate) fn reserved_task_ids(&self) -> Vec<TaskId> {
-        self.reserved.keys().copied().collect()
-    }
-
-    /// Takes (returns and clears) the sticky per-task rejection set's size
-    /// — the drain step's `rejections_cleared` accounting, summed across
-    /// shards by the layer.
-    pub(crate) fn take_sticky_rejections(&mut self) -> usize {
-        let cleared = self.rejected_tasks.len();
-        self.rejected_tasks.clear();
-        cleared
-    }
-
-    /// Swaps the load-balancing strategy, returning the number of pinned
-    /// plans forgotten (the `SwapLb` handover step, per shard).
-    pub(crate) fn set_lb_strategy(&mut self, lb: crate::strategy::LbStrategy) -> usize {
-        self.balancer.set_strategy(lb)
-    }
-
-    /// Installs an already-validated configuration without running a
-    /// handover — the layer executes the [`ReconfigPlan`] itself across
-    /// shards and then aligns each shard's config with its own.
-    pub(crate) fn force_config(&mut self, config: ServiceConfig) {
-        self.config = config;
-        self.balancer.set_strategy(config.lb);
+        max_drift
     }
 
     /// The entry behind `eid`.
@@ -1504,7 +1220,6 @@ impl AdmissionController {
     /// Ends the open touch epoch: delta-applies every touched processor's
     /// net `f` step to the entries indexed under it.
     fn settle_epoch(&mut self) {
-        self.revision += 1;
         let mut touched = std::mem::take(&mut self.scratch_touched);
         self.ledger.copy_touched_into(&mut touched);
         self.apply_deltas(&touched);
@@ -1613,7 +1328,6 @@ impl AdmissionController {
         };
         let gen = self.next_entry_gen;
         self.next_entry_gen += 1;
-        self.revision += 1;
         self.index_entry(eid, &visits);
         self.entries[eid] = Some(CurrentEntry { job, visits, outstanding, gen });
         self.hot[eid] = HotEntry { cached_lhs: 0.0, violating: false, counted: outstanding > 0 };
@@ -1628,7 +1342,6 @@ impl AdmissionController {
     /// those).
     fn unregister_entry(&mut self, eid: EntryId) -> Option<CurrentEntry> {
         let entry = self.entries.get_mut(eid)?.take()?;
-        self.revision += 1;
         self.free_entries.push(eid);
         self.live_entries -= 1;
         self.by_job.remove(&entry.job);

@@ -173,30 +173,17 @@ impl LoadBalancer {
     ///   otherwise a fresh greedy plan which is then pinned;
     /// * `PerJob` — a fresh greedy plan for every call.
     pub fn assignment_for(&mut self, task: &TaskSpec, ledger: &UtilizationLedger) -> Assignment {
-        self.assignment_for_with(task, ledger.processor_count(), |p| ledger.utilization(p))
-    }
-
-    /// [`LoadBalancer::assignment_for`] against an arbitrary utilization
-    /// view — the sharded admission plane assembles the view from several
-    /// per-shard ledgers, which a single `&UtilizationLedger` cannot
-    /// express.
-    pub fn assignment_for_with(
-        &mut self,
-        task: &TaskSpec,
-        processor_count: usize,
-        utilization: impl Fn(ProcessorId) -> f64,
-    ) -> Assignment {
         match self.strategy {
             LbStrategy::None => Assignment::primaries(task),
             LbStrategy::PerTask => {
                 if let Some(plan) = self.plans.get(&task.id()) {
                     return plan.clone();
                 }
-                let plan = Self::propose_with(task, processor_count, utilization);
+                let plan = Self::propose(task, ledger);
                 self.plans.insert(task.id(), plan.clone());
                 plan
             }
-            LbStrategy::PerJob => Self::propose_with(task, processor_count, utilization),
+            LbStrategy::PerJob => Self::propose(task, ledger),
         }
     }
 
@@ -207,27 +194,16 @@ impl LoadBalancer {
     /// processor id for determinism.
     #[must_use]
     pub fn propose(task: &TaskSpec, ledger: &UtilizationLedger) -> Assignment {
-        Self::propose_with(task, ledger.processor_count(), |p| ledger.utilization(p))
-    }
-
-    /// [`LoadBalancer::propose`] against an arbitrary utilization view
-    /// (see [`LoadBalancer::assignment_for_with`]).
-    #[must_use]
-    pub fn propose_with(
-        task: &TaskSpec,
-        processor_count: usize,
-        utilization: impl Fn(ProcessorId) -> f64,
-    ) -> Assignment {
-        let mut pending = vec![0.0f64; processor_count];
+        let mut pending = vec![0.0f64; ledger.processor_count()];
         let mut choice = Vec::with_capacity(task.subtasks().len());
         for (j, sub) in task.subtasks().iter().enumerate() {
             let u = task.subtask_utilization(j);
             let best = sub
                 .candidates()
-                .filter(|p| p.index() < processor_count)
+                .filter(|p| p.index() < ledger.processor_count())
                 .min_by(|a, b| {
-                    let ua = utilization(*a) + pending[a.index()];
-                    let ub = utilization(*b) + pending[b.index()];
+                    let ua = ledger.utilization(*a) + pending[a.index()];
+                    let ub = ledger.utilization(*b) + pending[b.index()];
                     ua.total_cmp(&ub).then_with(|| a.cmp(b))
                 })
                 .unwrap_or(sub.primary);

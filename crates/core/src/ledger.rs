@@ -388,10 +388,9 @@ impl UtilizationLedger {
 
     /// [`UtilizationLedger::recompute_totals`] with attribution: also
     /// returns *which* processor received the largest correction (`None`
-    /// when no correction was applied anywhere). The sharded admission
-    /// plane folds per-shard ledgers through this so a single noisy shard
-    /// is identified by processor index instead of disappearing into one
-    /// global residual.
+    /// when no correction was applied anywhere), so a noisy processor is
+    /// identified by index instead of disappearing into one global
+    /// residual.
     pub fn recompute_totals_detailed(&mut self) -> (f64, Option<ProcessorId>) {
         let mut max_drift = 0.0f64;
         let mut worst = None;
@@ -663,8 +662,7 @@ mod tests {
     #[test]
     fn recompute_totals_identifies_the_noisy_processor() {
         // Perturb one processor's running total directly: the detailed
-        // recompute must both correct it and name that processor, so a
-        // sharded plane can point at the one noisy shard.
+        // recompute must both correct it and name that processor.
         let mut l = UtilizationLedger::new(4);
         for p in 0..4u16 {
             l.add(ProcessorId(p), key(u32::from(p), 0, 0), 0.25, Lifetime::Reserved).unwrap();

@@ -26,9 +26,6 @@
 //!   and delay statistics;
 //! * design-time **feasibility analysis** ([`analysis`]): which tasks can
 //!   never be admitted, which only contend under worst-case phasing;
-//! * the **sharded admission plane** ([`shard`]): N shard controllers keyed
-//!   by processor group behind a two-level AUB sum tree, so single-group
-//!   arrivals admit with zero cross-shard synchronization;
 //! * a **deferrable-server** admission alternative ([`server`]) from the
 //!   authors' prior work, used by the ablation benches.
 //!
@@ -76,7 +73,6 @@ pub mod reconfig;
 pub mod reset;
 pub mod response;
 pub mod server;
-pub mod shard;
 pub mod strategy;
 pub mod task;
 pub mod time;
@@ -93,9 +89,6 @@ pub mod prelude {
     pub use crate::priority::{assign_edms, Priority};
     pub use crate::reconfig::{HandoverReport, ModeSchedule, ReconfigPlan};
     pub use crate::reset::{IdleResetReport, IdleResetter};
-    pub use crate::shard::{
-        AdmissionPlaneStats, ShardLayout, ShardSummary, ShardedAdmissionController,
-    };
     pub use crate::strategy::{AcStrategy, IrStrategy, LbStrategy, ServiceConfig};
     pub use crate::task::{
         JobId, ProcessorId, SubtaskSpec, TaskBuilder, TaskId, TaskKind, TaskSet, TaskSpec,

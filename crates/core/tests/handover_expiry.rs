@@ -139,90 +139,60 @@ fn rapid_mode_flapping_leaves_no_aliasing_and_no_drift() {
     assert!(drift < 1e-9, "reconcile corrected {drift}");
 }
 
-/// Cross-shard migration through a swap on the sharded plane: a
-/// reservation whose candidates span two shards lives in the cross
-/// registry; draining turns it into per-shard sentinel contributions and
-/// reseeding pulls it back — all without losing utilization or drifting
-/// any shard ledger. The per-shard `recompute_totals` reconciliation must
-/// come back clean on every shard, identified by index.
+/// A reservation whose replica lives on another processor, round-tripped
+/// drain → reseed next to a busy neighbor, then flushed past every drained
+/// deadline: the reseeded reservations survive on their original
+/// placements, utilization is carried exactly, and reconciliation finds
+/// nothing to correct.
 #[test]
-fn cross_shard_swap_migrates_entries_losslessly() {
-    use rtcm_core::shard::ShardedAdmissionController;
-
-    // Four processors, two shards: the task's primary is on shard 0 and
-    // its replica on shard 1, so the reservation is cross-homed.
-    let spanning = TaskBuilder::periodic(TaskId(0), Duration::from_millis(100))
+fn replicated_reservation_round_trip_survives_late_expiry() {
+    // The first task runs on processor 0 with a replica on 3; its neighbor
+    // keeps processors 2 and 3 busy while the reservation moves.
+    let replicated = TaskBuilder::periodic(TaskId(0), Duration::from_millis(100))
         .subtask(Duration::from_millis(20), ProcessorId(0), [ProcessorId(3)])
         .build()
         .unwrap();
-    // A single-homed neighbor on shard 1 keeps that shard's ledger busy
-    // while the spanning entry migrates.
-    let homed = TaskBuilder::periodic(TaskId(1), Duration::from_millis(100))
+    let neighbor = TaskBuilder::periodic(TaskId(1), Duration::from_millis(100))
         .subtask(Duration::from_millis(15), ProcessorId(2), [ProcessorId(3)])
         .build()
         .unwrap();
-    let tasks = TaskSet::from_tasks([spanning.clone(), homed.clone()]).unwrap();
-    let sharded = ShardedAdmissionController::new(cfg("T_N_N"), 4, 2).unwrap();
-    let mut mono = AdmissionController::new(cfg("T_N_N"), 4).unwrap();
+    let tasks = TaskSet::from_tasks([replicated.clone(), neighbor.clone()]).unwrap();
+    let mut ac = AdmissionController::new(cfg("T_N_N"), 4).unwrap();
 
-    for (seq, task) in [(0u64, &spanning), (0, &homed)] {
-        let a = sharded.handle_arrival(task, seq, at(0)).unwrap();
-        let b = mono.handle_arrival(task, seq, at(0)).unwrap();
-        assert_eq!(a, b);
-        assert!(matches!(a, Decision::Accept { .. }));
+    for task in [&replicated, &neighbor] {
+        let decision = ac.handle_arrival(task, 0, at(0)).unwrap();
+        assert!(matches!(decision, Decision::Accept { .. }));
     }
-    assert_eq!(sharded.reserved_tasks(), 2);
-    let loaded = sharded.utilizations();
-    assert_eq!(loaded, mono.ledger().utilizations());
+    assert_eq!(ac.reserved_tasks(), 2);
+    let loaded = ac.ledger().utilizations();
 
-    // Drain: both reservations become sentinel entries. The cross-homed
-    // one leaves contributions pinned on both shards.
-    let drain_s = sharded.reconfigure(cfg("J_N_N"), at(10), &tasks).unwrap();
-    let drain_m = mono.reconfigure(cfg("J_N_N"), at(10), &tasks).unwrap();
-    assert_eq!(drain_s, drain_m);
-    assert_eq!(drain_s.reservations_drained, 2);
-    assert_eq!(sharded.reserved_tasks(), 0);
-    assert_eq!(sharded.current_entries(), 2);
-    assert_eq!(sharded.utilizations(), mono.ledger().utilizations());
+    // Drain: both reservations become deadline-bound sentinel entries.
+    let drain = ac.reconfigure(cfg("J_N_N"), at(10), &tasks).unwrap();
+    assert_eq!(drain.reservations_drained, 2);
+    assert_eq!(ac.reserved_tasks(), 0);
+    assert_eq!(ac.current_entries(), 2);
+    assert_eq!(ac.ledger().utilizations(), loaded);
 
-    // Reseed before the drained deadlines: entries migrate back into
-    // reservations (the cross-homed one re-enters the cross registry).
-    let reseed_s = sharded.reconfigure(cfg("T_N_N"), at(20), &tasks).unwrap();
-    let reseed_m = mono.reconfigure(cfg("T_N_N"), at(20), &tasks).unwrap();
-    assert_eq!(reseed_s, reseed_m);
-    assert_eq!(reseed_s.reservations_reseeded, 2);
-    assert_eq!(reseed_s.reseeds_skipped, 0);
-    assert!(sharded.is_reserved(TaskId(0)));
-    assert!(sharded.is_reserved(TaskId(1)));
+    // Reseed before the drained deadlines: both convert back in place.
+    let reseed = ac.reconfigure(cfg("T_N_N"), at(20), &tasks).unwrap();
+    assert_eq!(reseed.reservations_reseeded, 2);
+    assert_eq!(reseed.reseeds_skipped, 0);
+    assert!(ac.is_reserved(TaskId(0)));
+    assert!(ac.is_reserved(TaskId(1)));
 
-    // Flush the orphaned drain records far past their deadlines: the
-    // reseeded reservations survive and utilization is carried exactly.
-    sharded.expire(at(10_000));
-    mono.expire(at(10_000));
-    assert_eq!(sharded.reserved_tasks(), 2, "stale expiry evicted a migrated reservation");
-    assert_eq!(sharded.current_entries(), 2);
-    for (have, want) in sharded.utilizations().iter().zip(&loaded) {
+    // Flush the orphaned drain records far past their deadlines.
+    ac.expire(at(10_000));
+    assert_eq!(ac.reserved_tasks(), 2, "stale expiry evicted a reseeded reservation");
+    assert_eq!(ac.current_entries(), 2);
+    for (have, want) in ac.ledger().utilizations().iter().zip(&loaded) {
         assert!((have - want).abs() < 1e-9, "utilization drifted: {have} vs {want}");
     }
-    assert_eq!(sharded.utilizations(), mono.ledger().utilizations());
+    let audit = audit_controller(&ac);
+    assert!(audit.is_consistent(1e-9), "cached sums drifted {}", audit.max_cached_drift);
+    let drift = ac.reconcile();
+    assert!(drift < 1e-9, "reconcile corrected {drift}");
 
-    // Zero ledger drift, reported per shard.
-    for drift in sharded.reconcile() {
-        assert!(
-            drift.drift.max_drift < 1e-9,
-            "shard {} reconcile corrected {}",
-            drift.shard,
-            drift.drift.max_drift
-        );
-    }
-    for audit in sharded.audit() {
-        assert!(audit.audit.is_consistent(1e-9), "shard {} caches drifted", audit.shard);
-        assert!(audit.summary_coherent, "shard {} summary stale", audit.shard);
-    }
-
-    // Later jobs still pass through on both sides.
-    let a = sharded.handle_arrival(&spanning, 1, at(10_100)).unwrap();
-    let b = mono.handle_arrival(&spanning, 1, at(10_100)).unwrap();
-    assert_eq!(a, b);
-    assert!(matches!(a, Decision::Accept { newly_admitted: false, .. }));
+    // Later jobs still pass through on the reseeded reservation.
+    let decision = ac.handle_arrival(&replicated, 1, at(10_100)).unwrap();
+    assert!(matches!(decision, Decision::Accept { newly_admitted: false, .. }));
 }

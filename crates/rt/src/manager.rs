@@ -25,11 +25,10 @@ use std::time::{Duration as StdDuration, Instant};
 use crossbeam::channel::{Receiver, Sender, TryRecvError};
 use parking_lot::Mutex;
 
-use rtcm_core::admission::Decision;
+use rtcm_core::admission::{AdmissionController, Decision};
 use rtcm_core::balance::Assignment;
 use rtcm_core::govern::slack_and_imbalance;
 use rtcm_core::ledger::ContributionKey;
-use rtcm_core::shard::{AdmissionPlaneStats, ShardedAdmissionController};
 use rtcm_core::strategy::{AcStrategy, ServiceConfig};
 use rtcm_core::task::{ProcessorId, TaskSet};
 use rtcm_core::time::{Duration, Time};
@@ -58,7 +57,7 @@ pub(crate) enum ManagerCtl {
 }
 
 pub(crate) struct ManagerConfig {
-    pub ac: ShardedAdmissionController,
+    pub ac: AdmissionController,
     pub tasks: Arc<TaskSet>,
     pub channel: ChannelHandle,
     pub clock: Clock,
@@ -93,8 +92,7 @@ pub(crate) fn run_manager(cfg: ManagerConfig) {
     let coordinator = (u64::from(std::process::id()) << 32)
         | NEXT_COORDINATOR.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     let reactor = Reactor::new(cfg.clock, DEFAULT_TICK);
-    let mut manager =
-        Manager { cfg, coordinator, epoch: 0, reactor, plane_seen: AdmissionPlaneStats::default() };
+    let mut manager = Manager { cfg, coordinator, epoch: 0, reactor };
     manager.run();
 }
 
@@ -117,10 +115,6 @@ struct Manager {
     epoch: u64,
     /// Timer wheel + single-wait loop (see [`MgrTimer`]).
     reactor: Reactor<Clock, MgrTimer>,
-    /// Plane counters already folded into the metrics registry; the
-    /// sharded controller reports cumulative values, the registry wants
-    /// monotone increments.
-    plane_seen: AdmissionPlaneStats,
 }
 
 /// What the manager loop should do after a control-channel poll.
@@ -168,12 +162,20 @@ impl Manager {
 
     /// Steady-state event dispatch. Reconfiguration acks arriving outside
     /// a prepare window are stale (the swap they voted on is decided) and
-    /// are dropped, exactly as the ack check inside the prepare loop would.
+    /// are dropped, exactly as the ack check inside the prepare loop would
+    /// — after decoding, so a malformed one is still counted. Events that
+    /// do not decode are dropped (see [`SharedStats::decode`]).
     fn on_event(&mut self, ev: &Event) {
         if ev.topic == topics::TASK_ARRIVE {
-            self.on_arrive(&proto::decode(&ev.payload));
+            if let Some(msg) = self.cfg.stats.decode(&ev.payload) {
+                self.on_arrive(&msg);
+            }
         } else if ev.topic == topics::IDLE_RESET {
-            self.on_reset(&proto::decode(&ev.payload));
+            if let Some(msg) = self.cfg.stats.decode(&ev.payload) {
+                self.on_reset(&msg);
+            }
+        } else if ev.topic == topics::RECONFIG_ACK {
+            let _: Option<ReconfigAckMsg> = self.cfg.stats.decode(&ev.payload);
         }
     }
 
@@ -262,13 +264,16 @@ impl Manager {
             match self.reactor.wait(&self.cfg.mailbox) {
                 Wake::Event(ev) => {
                     if ev.topic == topics::RECONFIG_ACK {
-                        let ack: ReconfigAckMsg = proto::decode(&ev.payload);
-                        quorum.on_ack(&ack);
+                        if let Some(ack) = self.cfg.stats.decode(&ev.payload) {
+                            quorum.on_ack(&ack);
+                        }
                     } else if ev.topic == topics::TASK_ARRIVE {
-                        deferred.push(proto::decode(&ev.payload));
+                        deferred.extend(self.cfg.stats.decode(&ev.payload));
                     } else if ev.topic == topics::IDLE_RESET {
                         // Idle resets carry no decision; apply immediately.
-                        self.on_reset(&proto::decode(&ev.payload));
+                        if let Some(msg) = self.cfg.stats.decode(&ev.payload) {
+                            self.on_reset(&msg);
+                        }
                     }
                 }
                 Wake::Timer => {
@@ -374,19 +379,7 @@ impl Manager {
     /// [`ManagerCtl::SenseGauges`] probe (once per governor window) — the
     /// admission and idle-reset hot paths pay nothing for sensing.
     fn gauges(&self) -> (f64, f64) {
-        slack_and_imbalance(&self.cfg.ac.utilizations())
-    }
-
-    /// Folds the sharded plane's decision-path counters into the metrics
-    /// registry (delta against the last fold, so counters stay monotone).
-    fn sync_plane_stats(&mut self) {
-        let plane = self.cfg.ac.plane_stats();
-        let m = self.cfg.stats.metrics();
-        m.admission_shard_local.add(plane.local_decisions - self.plane_seen.local_decisions);
-        m.admission_cross_shard.add(plane.cross_decisions - self.plane_seen.cross_decisions);
-        m.admission_summary_refreshes
-            .add(plane.summary_refreshes - self.plane_seen.summary_refreshes);
-        self.plane_seen = plane;
+        slack_and_imbalance(&self.cfg.ac.ledger().utilizations())
     }
 
     fn on_arrive(&mut self, msg: &ArriveMsg) {
@@ -498,7 +491,6 @@ impl Manager {
                 self.cfg.channel.publish(topics::REJECT, proto::encode(&reply));
             }
         }
-        self.sync_plane_stats();
     }
 
     fn on_reset(&mut self, msg: &IdleResetMsg) {

@@ -204,19 +204,31 @@ impl Node {
 
     /// Routes one mailbox event to its handler. All node input — protocol
     /// events, injected arrivals, shutdown — arrives through the single
-    /// mailbox in publish order.
+    /// mailbox in publish order. A payload that does not decode is dropped
+    /// and counted (see [`SharedStats::decode`]).
     fn dispatch(&mut self, ev: &Event) {
         let topic = ev.topic;
+        let stats = &self.cfg.stats;
         if topic == topics::ACCEPT {
-            self.on_accept(proto::decode(&ev.payload));
+            if let Some(msg) = stats.decode(&ev.payload) {
+                self.on_accept(msg);
+            }
         } else if topic == topics::REJECT {
-            self.on_reject(&proto::decode(&ev.payload));
+            if let Some(msg) = stats.decode(&ev.payload) {
+                self.on_reject(&msg);
+            }
         } else if topic == topics::TRIGGER {
-            self.on_trigger(proto::decode(&ev.payload));
+            if let Some(msg) = stats.decode(&ev.payload) {
+                self.on_trigger(msg);
+            }
         } else if topic == topics::RECONFIG {
-            self.on_reconfig(proto::decode(&ev.payload));
+            if let Some(msg) = stats.decode(&ev.payload) {
+                self.on_reconfig(msg);
+            }
         } else if topic == self.inject_topic {
-            self.on_inject(proto::decode(&ev.payload));
+            if let Some(msg) = stats.decode(&ev.payload) {
+                self.on_inject(msg);
+            }
         } else if topic == self.ctl_topic {
             self.running = false;
         }

@@ -237,13 +237,13 @@ pub fn encode<T: Serialize>(msg: &T) -> Vec<u8> {
 
 /// Deserializes a message from an event payload.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics on malformed payloads — within one process, a decode failure is a
-/// programming error, not an I/O condition.
-#[must_use]
-pub fn decode<T: for<'de> Deserialize<'de>>(payload: &[u8]) -> T {
-    serde_json::from_slice(payload).expect("event payloads are produced by this crate")
+/// Returns the parse error for a payload that is not a well-formed `T`.
+/// Payloads can arrive from TCP-bridged peers, so callers drop (and
+/// count) a bad event rather than trusting it.
+pub fn decode<T: for<'de> Deserialize<'de>>(payload: &[u8]) -> Result<T, serde_json::Error> {
+    serde_json::from_slice(payload)
 }
 
 /// Convenience: `JobId` for a `(task, seq)` pair.
@@ -277,7 +277,7 @@ mod tests {
     fn arrive_round_trip() {
         let msg =
             ArriveMsg { job: job(3, 7), arrival_proc: 2, arrival_ns: 10, sent_ns: 12, trace: 9 };
-        let back: ArriveMsg = decode(&encode(&msg));
+        let back: ArriveMsg = decode(&encode(&msg)).unwrap();
         assert_eq!(back, msg);
     }
 
@@ -293,7 +293,7 @@ mod tests {
             sent_ns: 9,
             trace: 11,
         };
-        let back: AcceptMsg = decode(&encode(&msg));
+        let back: AcceptMsg = decode(&encode(&msg)).unwrap();
         assert_eq!(back, msg);
     }
 
@@ -308,7 +308,7 @@ mod tests {
             sent_ns: 3,
             trace: 4,
         };
-        let back: TriggerMsg = decode(&encode(&t));
+        let back: TriggerMsg = decode(&encode(&t)).unwrap();
         assert_eq!(back, t);
 
         let r = IdleResetMsg {
@@ -316,7 +316,7 @@ mod tests {
             completed: vec![(job(0, 1), 0), (job(2, 0), 1)],
             started_ns: 42,
         };
-        let back: IdleResetMsg = decode(&encode(&r));
+        let back: IdleResetMsg = decode(&encode(&r)).unwrap();
         assert_eq!(back, r);
     }
 
@@ -331,7 +331,7 @@ mod tests {
             sent_ns: 99,
             trace: swap_trace(42, 3),
         };
-        let back: ReconfigMsg = decode(&encode(&msg));
+        let back: ReconfigMsg = decode(&encode(&msg)).unwrap();
         assert_eq!(back, msg);
 
         let ack = ReconfigAckMsg {
@@ -343,7 +343,7 @@ mod tests {
             sent_ns: 120,
             trace: swap_trace(42, 3),
         };
-        let back: ReconfigAckMsg = decode(&encode(&ack));
+        let back: ReconfigAckMsg = decode(&encode(&ack)).unwrap();
         assert_eq!(back, ack);
 
         let nack = ReconfigAckMsg {
@@ -355,14 +355,14 @@ mod tests {
             sent_ns: 130,
             trace: swap_trace(42, 3),
         };
-        let back: ReconfigAckMsg = decode(&encode(&nack));
+        let back: ReconfigAckMsg = decode(&encode(&nack)).unwrap();
         assert_eq!(back, nack);
         assert_eq!(ReconfigAbortReason::AckTimeout.to_string(), "ack-timeout");
     }
 
     #[test]
-    #[should_panic(expected = "produced by this crate")]
     fn decode_rejects_garbage() {
-        let _: ArriveMsg = decode(b"not json");
+        assert!(decode::<ArriveMsg>(b"not json").is_err());
+        assert!(decode::<ReconfigMsg>(b"{}").is_err());
     }
 }

@@ -37,7 +37,7 @@
 //! blocks on its mailbox without any wakeups. Stop requests publish a
 //! `topics::QUORUM_CTL` kick so the indefinite block stays interruptible.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration as StdDuration;
 
@@ -73,6 +73,7 @@ impl Default for QuorumOptions {
 pub struct QuorumMember {
     host: u64,
     hold: Arc<AtomicBool>,
+    malformed: Arc<AtomicU64>,
     state: Arc<Mutex<MemberSm>>,
     trace: Arc<TraceBuffer>,
     stop: Sender<()>,
@@ -108,12 +109,14 @@ impl QuorumMember {
         // One merged mailbox: reconfiguration phases plus the stop kick.
         let mailbox = handle.subscribe_many(&[topics::RECONFIG, topics::QUORUM_CTL]);
         let hold = Arc::new(AtomicBool::new(false));
+        let malformed = Arc::new(AtomicU64::new(0));
         let state: Arc<Mutex<MemberSm>> = Arc::new(Mutex::new(MemberSm::new()));
         let trace = Arc::new(TraceBuffer::new(DEFAULT_TRACE_CAPACITY));
         let (stop_tx, stop_rx) = unbounded::<()>();
         let clock = Clock::new();
         let fence_timeout_ns = options.fence_timeout.as_nanos() as u64;
         let thread_hold = Arc::clone(&hold);
+        let thread_malformed = Arc::clone(&malformed);
         let thread_state = Arc::clone(&state);
         let thread_trace = Arc::clone(&trace);
         let thread = std::thread::Builder::new()
@@ -163,7 +166,13 @@ impl QuorumMember {
                     }
                     match reactor.wait(&mailbox) {
                         Wake::Event(ev) if ev.topic == topics::RECONFIG => {
-                            let msg: ReconfigMsg = proto::decode(&ev.payload);
+                            // A payload that does not decode (garbage
+                            // bridged in from a peer) is dropped and
+                            // counted; the member keeps voting.
+                            let Ok(msg) = proto::decode::<ReconfigMsg>(&ev.payload) else {
+                                thread_malformed.fetch_add(1, Ordering::Relaxed);
+                                continue;
+                            };
                             let holding = thread_hold.load(Ordering::SeqCst);
                             let reaction = thread_state.lock().on_phase(
                                 &msg,
@@ -181,7 +190,16 @@ impl QuorumMember {
                 }
             })
             .expect("spawn quorum member");
-        Ok(QuorumMember { host, hold, state, trace, stop: stop_tx, wake, thread: Some(thread) })
+        Ok(QuorumMember {
+            host,
+            hold,
+            malformed,
+            state,
+            trace,
+            stop: stop_tx,
+            wake,
+            thread: Some(thread),
+        })
     }
 
     /// The host identity this member votes as (its federation's id).
@@ -201,6 +219,12 @@ impl QuorumMember {
     #[must_use]
     pub fn observed_commits(&self) -> Vec<ServiceConfig> {
         self.state.lock().commits().to_vec()
+    }
+
+    /// Phase events dropped because their payload did not decode.
+    #[must_use]
+    pub fn malformed_events(&self) -> u64 {
+        self.malformed.load(Ordering::Relaxed)
     }
 
     /// Prepares acked so far.

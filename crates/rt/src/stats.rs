@@ -33,7 +33,7 @@ use rtcm_telemetry::{
     Counter, Exposition, Gauge, Histogram, HistogramSnapshot, Registry, TraceBuffer,
 };
 
-use crate::proto::ReconfigAbortReason;
+use crate::proto::{self, ReconfigAbortReason};
 
 /// Per-reason counts of abandoned reconfigurations, so a governor's
 /// failed actuations are diagnosable from the report alone: `ack_timeout`
@@ -179,15 +179,20 @@ pub struct SystemReport {
     /// zero-wakeup runtime test.
     pub timer_wakeups: u64,
 
-    /// Admission decisions that stayed on one shard's lock-free fast path
-    /// (single-group candidate sets under the sharded admission plane).
+    /// Protocol events dropped because their payload did not decode
+    /// (e.g. garbage bridged in from a TCP peer). The receiving thread
+    /// drops the event and keeps running.
+    pub malformed_events: u64,
+
+    /// Admission decisions taken by the task manager's one controller:
+    /// the sample count of [`SystemReport::ac_test`]. Kept under this
+    /// name only because the perfbench harness reads it.
     pub admission_shard_local: u64,
-    /// Admission decisions that took the cross-shard reservation path
-    /// (multi-group candidate sets, or brute-force mode).
+    /// Always 0: there is one admission controller and no cross-shard
+    /// path. Kept only because the perfbench harness reads it.
     pub admission_cross_shard: u64,
-    /// Targeted shard-summary refreshes performed when a published
-    /// `(sum, violating, epoch)` summary could not answer the system-wide
-    /// AUB check on its own.
+    /// Always 0: there are no shard summaries to refresh. Kept only
+    /// because the perfbench harness reads it.
     pub admission_summary_refreshes: u64,
 }
 
@@ -223,12 +228,8 @@ pub struct RtMetrics {
     pub ir_reports: Arc<Counter>,
     /// Timer-deadline wakeups performed by reactor threads.
     pub timer_wakeups: Arc<Counter>,
-    /// Admission decisions kept on a single shard's fast path.
-    pub admission_shard_local: Arc<Counter>,
-    /// Admission decisions through the cross-shard reservation path.
-    pub admission_cross_shard: Arc<Counter>,
-    /// Targeted shard-summary refreshes during admission checks.
-    pub admission_summary_refreshes: Arc<Counter>,
+    /// Protocol events dropped for an undecodable payload.
+    pub malformed_events: Arc<Counter>,
 
     /// End-to-end response times (ns).
     pub response: Arc<Histogram>,
@@ -294,17 +295,9 @@ impl RtMetrics {
                 "rtcm_timer_wakeups_total",
                 "Timer-deadline wakeups performed by reactor threads.",
             ),
-            admission_shard_local: r.counter(
-                "rtcm_admission_shard_local_total",
-                "Admission decisions kept on a single shard's fast path.",
-            ),
-            admission_cross_shard: r.counter(
-                "rtcm_admission_cross_shard_total",
-                "Admission decisions through the cross-shard reservation path.",
-            ),
-            admission_summary_refreshes: r.counter(
-                "rtcm_admission_summary_refreshes_total",
-                "Targeted shard-summary refreshes during admission checks.",
+            malformed_events: r.counter(
+                "rtcm_malformed_events_total",
+                "Protocol events dropped for an undecodable payload.",
             ),
             arrived_utilization: r.gauge(
                 "rtcm_arrived_utilization",
@@ -429,15 +422,14 @@ impl SharedStats {
         report.reallocations = m.reallocations.get();
         report.ir_reports = m.ir_reports.get();
         report.timer_wakeups = m.timer_wakeups.get();
-        report.admission_shard_local = m.admission_shard_local.get();
-        report.admission_cross_shard = m.admission_cross_shard.get();
-        report.admission_summary_refreshes = m.admission_summary_refreshes.get();
+        report.malformed_events = m.malformed_events.get();
         let mut scratch = HistogramSnapshot::default();
         report.response = delay_from(&m.response, &mut scratch);
         report.hold = delay_from(&m.hold, &mut scratch);
         report.comm = delay_from(&m.comm, &mut scratch);
         report.lb_plan = delay_from(&m.lb_plan, &mut scratch);
         report.ac_test = delay_from(&m.ac_test, &mut scratch);
+        report.admission_shard_local = report.ac_test.count();
         report.release = delay_from(&m.release, &mut scratch);
         report.ir_path = delay_from(&m.ir_path, &mut scratch);
         report.ir_update = delay_from(&m.ir_update, &mut scratch);
@@ -450,6 +442,19 @@ impl SharedStats {
     /// A reactor thread woke for a timer deadline.
     pub fn timer_wakeup(&self) {
         self.metrics.timer_wakeups.inc();
+    }
+
+    /// Decodes a protocol event's payload, counting it in
+    /// [`SystemReport::malformed_events`] and returning `None` if it does
+    /// not decode. Every runtime thread decodes through here, so a
+    /// malformed event (e.g. from a bridged peer) is dropped instead of
+    /// killing the thread.
+    pub(crate) fn decode<T: for<'de> Deserialize<'de>>(&self, payload: &[u8]) -> Option<T> {
+        let decoded = proto::decode(payload).ok();
+        if decoded.is_none() {
+            self.metrics.malformed_events.inc();
+        }
+        decoded
     }
 
     /// A job entered the system (arrived at a TE).

@@ -12,10 +12,10 @@ use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use rtcm_config::Deployment;
+use rtcm_core::admission::AdmissionController;
 use rtcm_core::govern::GovernorPolicy;
 use rtcm_core::priority::Priority;
 use rtcm_core::reconfig::HandoverReport;
-use rtcm_core::shard::ShardedAdmissionController;
 use rtcm_core::strategy::{InvalidConfigError, ServiceConfig};
 use rtcm_core::task::{TaskId, TaskSet};
 use rtcm_core::time::Duration;
@@ -48,12 +48,6 @@ pub struct RtOptions {
     /// job). Sampling is per trace id, so a sampled job keeps all of its
     /// lifecycle stages and an unsampled one records nothing.
     pub trace_sample_every: u64,
-    /// Shard count for the sharded admission plane: processors are split
-    /// into this many contiguous groups, and arrivals whose candidate
-    /// placements stay inside one group admit without touching the other
-    /// shards. 1 (the default) reproduces the monolithic controller's
-    /// behavior exactly; values are clamped to the processor count.
-    pub admission_shards: usize,
 }
 
 impl Default for RtOptions {
@@ -68,7 +62,6 @@ impl Default for RtOptions {
             seed: 0,
             reconfig_ack_timeout: StdDuration::from_secs(2),
             trace_sample_every: 1,
-            admission_shards: 1,
         }
     }
 }
@@ -338,9 +331,8 @@ impl System {
         let tasks = Arc::new(deployment.tasks.clone());
         let priorities: Arc<HashMap<TaskId, Priority>> = Arc::new(deployment.priorities.clone());
         let services = deployment.services;
-        let ac =
-            ShardedAdmissionController::new(services, procs as usize, options.admission_shards)
-                .map_err(LaunchError::InvalidConfig)?;
+        let ac = AdmissionController::new(services, procs as usize)
+            .map_err(LaunchError::InvalidConfig)?;
 
         let clock = Clock::new();
         let stats = SharedStats::with_trace_sampling(options.trace_sample_every);

@@ -140,7 +140,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ---- Act 3: the swap as seen from the remote host -------------------
     for _ in 0..2 {
         let event = observer.recv_timeout(StdDuration::from_secs(5))?;
-        let msg: ReconfigMsg = rtcm::rt::proto::decode(&event.payload);
+        let msg: ReconfigMsg = rtcm::rt::proto::decode(&event.payload)?;
         println!(
             "  remote host observed: epoch {} {} -> {}",
             msg.epoch,
